@@ -16,6 +16,7 @@ including ones registered by user code); they are resolved by
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
@@ -386,11 +387,10 @@ class RepairConfig:
     cost_model:
         The value-modification cost model; defaults to unit weights.
     cache_size:
-        Lower bound on the partition-index cache width of the incremental
-        engine; ``None`` (default) sizes the cache to the workload.  The
-        engine only ever *widens* the auto size — a cache smaller than the
-        number of distinct LHS sets would evict live indexes and corrupt
-        the maintained state, so smaller values are ignored.
+        Deprecated and ignored: the incremental engine builds one partition
+        index per distinct LHS and never evicts, so no cache width changes
+        its output or its work.  Passing a value emits a
+        :class:`DeprecationWarning`.
     workers, shard_count:
         Parallel-only knobs (``method="parallel"``, or ``"auto"``, which may
         escalate to it): worker processes repairing shards concurrently and
@@ -401,8 +401,12 @@ class RepairConfig:
         parallel) repair over — same semantics and default chain
         (``REPRO_STORAGE``, then ``"columnar"``) as on
         :class:`DetectionConfig`, including the out-of-core ``"mmap"``
-        layer.  The repaired relation comes back in this storage; its rows
-        are byte-identical either way.
+        layer.  ``incremental`` and ``parallel`` always repair over codes:
+        under ``"rows"`` the incremental state encodes its copy once, and
+        the incremental engine's repaired relation comes back as that
+        :class:`~repro.relation.columnar.ColumnStore`.  Otherwise the
+        repaired relation comes back in this storage.  Its rows are
+        byte-identical either way.
     spill_dir, memory_budget_mb:
         Out-of-core knobs for the ``"mmap"`` storage — same semantics as on
         :class:`DetectionConfig`.
@@ -442,8 +446,14 @@ class RepairConfig:
         _validate_memory_budget(self.memory_budget_mb)
         if self.max_passes < 1:
             raise ConfigError(f"max_passes must be at least 1, got {self.max_passes}")
-        if self.cache_size is not None and self.cache_size < 1:
-            raise ConfigError(f"cache_size must be at least 1, got {self.cache_size}")
+        if self.cache_size is not None:
+            warnings.warn(
+                "RepairConfig.cache_size is deprecated and ignored: the repair "
+                "state indexes every LHS and never evicts",
+                DeprecationWarning,
+                stacklevel=3,
+            )
+            object.__setattr__(self, "cache_size", None)
         _validate_parallel_knobs(self.method, self.workers, self.shard_count)
 
     def with_method(self, method: str) -> RepairConfig:

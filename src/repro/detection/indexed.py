@@ -404,8 +404,8 @@ def constant_code_violations(
     ``i+1`` — matching the scan oracle: the single-check case walks its
     subset directly, the multi-check case re-walks the sorted union against
     every check.  This is the one shared emission path of the indexed
-    detector and the incremental repair state (both sequential and batched),
-    so their reports cannot drift apart.
+    detector and the incremental repair state, so their reports cannot drift
+    apart.
     """
     if len(checks) == 1:
         attr, column, _expected_code, expected = checks[0]

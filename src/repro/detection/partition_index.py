@@ -276,9 +276,8 @@ class PartitionIndexCache:
     attribute tuple; the cache builds each on first use and serves repeats —
     including across separate :meth:`~repro.detection.indexed.IndexedDetector.detect`
     calls — from memory.  The cache assumes the relation does not change while
-    it is alive; after mutating the relation either call :meth:`clear` (drop
-    everything) or :meth:`apply_update` (delta-maintain the cached indexes in
-    place, the repair engine's path).
+    it is alive; after mutating the relation call :meth:`clear` to drop
+    everything.
     """
 
     def __init__(self, relation: Relation, maxsize: int = 32) -> None:
@@ -292,7 +291,7 @@ class PartitionIndexCache:
         self._expected_version = relation.version
 
     def _check_synchronized(self) -> None:
-        """Raise when the relation mutated outside :meth:`apply_update`.
+        """Raise when the relation mutated since the cache last synchronised.
 
         Inserts and deletes shift or extend the tuple-index space, and raw
         updates move tuples between equivalence classes behind the cached
@@ -303,8 +302,7 @@ class PartitionIndexCache:
             raise DetectionError(
                 "the relation was mutated while partition indexes were live "
                 f"(version {self._relation.version}, indexes built at "
-                f"{self._expected_version}); route cell updates through "
-                "apply_update, or call clear() to rebuild from scratch"
+                f"{self._expected_version}); call clear() to rebuild from scratch"
             )
 
     # ------------------------------------------------------------------ access
@@ -313,7 +311,7 @@ class PartitionIndexCache:
 
         Raises :class:`~repro.errors.DetectionError` when the relation was
         mutated since the cache last synchronised with it (see
-        :meth:`apply_update` / :meth:`clear`).
+        :meth:`clear`).
         """
         self._check_synchronized()
         key = tuple(attributes)
@@ -366,38 +364,6 @@ class PartitionIndexCache:
         self._indexes.clear()
         self._expected_version = self._relation.version
 
-    def apply_update(self, tuple_index: int, attribute: str, old_row: Row) -> int:
-        """Delta-maintain the cached indexes after one cell of the relation changed.
-
-        Call *after* ``relation.update(tuple_index, attribute, ...)``, passing
-        the row as it was *before* the change.  Only the indexes whose
-        attribute tuple mentions ``attribute`` are touched (the others cannot
-        be affected by the change); each moves the tuple between its
-        equivalence classes via :meth:`PartitionIndex.reindex_tuple` instead
-        of being rebuilt — on a :class:`~repro.relation.columnar.ColumnStore`
-        the cell change itself was a single code swap.  Returns the number of
-        indexes updated.
-
-        This is the *only* sanctioned mutation path while indexes are live:
-        it must follow exactly one ``update`` call (anything else — a second
-        update, an insert, a delete — raises instead of maintaining a lie).
-        """
-        if self._relation.version != self._expected_version + 1:
-            raise DetectionError(
-                "apply_update must follow exactly one relation.update call "
-                f"(relation version {self._relation.version}, cache expected "
-                f"{self._expected_version + 1}); for inserts, deletes or "
-                "batched updates rebuild via clear()"
-            )
-        self._expected_version = self._relation.version
-        new_row = self._relation[tuple_index]
-        updated = 0
-        for attributes, index in self._indexes.items():
-            if attribute in attributes:
-                index.reindex_tuple(tuple_index, old_row, new_row)
-                updated += 1
-        return updated
-
     # ------------------------------------------------------------------ introspection
     @property
     def relation(self) -> Relation:
@@ -433,7 +399,7 @@ class PartitionIndexCache:
 class CodePartitionIndex:
     """An array-backed partition map over a :class:`ColumnStore`'s code columns.
 
-    The repair engine's batched counterpart of :class:`PartitionIndex`: where
+    The repair engine's array-backed counterpart of :class:`PartitionIndex`: where
     the dict index materialises one python list per equivalence class (10K+
     list allocations on a 50K relation, the dominant cost of building a
     :class:`~repro.repair.incremental.RepairState`), this one keeps the whole
@@ -452,8 +418,8 @@ class CodePartitionIndex:
     Only ever constructed when the active kernel advertises
     ``fused_repair_scan`` (numpy is importable then); construction raises
     :class:`~repro.errors.DetectionError` in the astronomical case where the
-    composite key cannot fit ``int64``, and the repair state falls back to
-    the dict-backed reference path.
+    composite key cannot fit ``int64``, and the repair state indexes with
+    the dict-backed :class:`PartitionIndex` instead.
     """
 
     #: Dictionary-growth headroom baked into the composite strides: repairs
@@ -466,7 +432,6 @@ class CodePartitionIndex:
         "_store",
         "_attributes",
         "_np",
-        "_views",
         "_capacities",
         "_strides",
         "_comp",
@@ -485,13 +450,21 @@ class CodePartitionIndex:
         self._rebuild()
 
     # ------------------------------------------------------------------ construction
-    def _rebuild(self) -> None:
-        """(Re)build the composite keys, sort order and class boundaries."""
+    def _views(self):
+        """Fresh ndarray views of the key code columns.
+
+        Made per call and never stored, like the kernels' own views: a view
+        held across calls would pin the columns' buffers, and the store
+        could not insert or delete rows while the index is live.
+        """
         from repro.kernels.numpy_kernels import _as_array
 
+        return tuple(_as_array(self._store.codes(attr)) for attr in self._attributes)
+
+    def _rebuild(self) -> None:
+        """(Re)build the composite keys, sort order and class boundaries."""
         np = self._np
         store = self._store
-        self._views = tuple(_as_array(store.codes(attr)) for attr in self._attributes)
         capacities: List[int] = []
         strides: List[int] = []
         stride = 1
@@ -509,7 +482,7 @@ class CodePartitionIndex:
         self._capacities = tuple(reversed(capacities))
         self._strides = tuple(reversed(strides))
         comp = np.zeros(len(store), dtype=np.int64)
-        for view, attr_stride in zip(self._views, self._strides):
+        for view, attr_stride in zip(self._views(), self._strides):
             comp += view.astype(np.int64) * attr_stride
         self._comp = comp
         self._order = np.argsort(comp, kind="stable").astype(np.intp, copy=False)
@@ -560,7 +533,7 @@ class CodePartitionIndex:
     def key_codes_at(self, position: int) -> Tuple[int, ...]:
         """The code-key tuple of class ``position`` (read off its first member)."""
         first = self._order[self._starts[position]]
-        return tuple(int(view[first]) for view in self._views)
+        return tuple(int(view[first]) for view in self._views())
 
     def find(self, key_codes: Sequence[Optional[int]]) -> int:
         """The class position of a code key, or ``-1`` when no row holds it.
@@ -593,8 +566,9 @@ class CodePartitionIndex:
         np = self._np
         firsts = self._order[self._starts]
         keep = np.ones(len(firsts), dtype=bool)
+        views = self._views()
         for offset, code in constants:
-            keep &= self._views[offset][firsts] == code
+            keep &= views[offset][firsts] == code
         return np.flatnonzero(keep)
 
     def gather(self, positions: Sequence[int]):
@@ -636,7 +610,7 @@ class CodePartitionIndex:
             return
         new_comp = np.zeros(len(moved), dtype=np.int64)
         for view, attr_stride, capacity in zip(
-            self._views, self._strides, self._capacities
+            self._views(), self._strides, self._capacities
         ):
             codes = view[moved]
             if int(codes.max()) >= capacity:

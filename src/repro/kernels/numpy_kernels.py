@@ -136,8 +136,8 @@ class NumpyKernel:
 
     #: The repair-side batch primitives run as one gather + ``reduceat``
     #: pass over all dirty classes at once, so the incremental repair state
-    #: should drive its fixpoint through them (and through the array-backed
-    #: partition index) instead of the per-class dict walk.
+    #: indexes with the array-backed partition index, whose flat class
+    #: table feeds them without per-class lists.
     fused_repair_scan = True
 
     def group_codes(

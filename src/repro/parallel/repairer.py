@@ -162,20 +162,20 @@ class ParallelRepairEngine:
         relation are repaired columnar in their workers (they arrive as
         :class:`~repro.relation.columnar.ColumnStore` slices already), a
         pinned kernel is honoured inside each worker process, and
-        ``storage="rows"`` cross-checking stays rows all the way down.
+        ``storage="rows"`` shards arrive as rows (the worker's incremental
+        state encodes its copy once).
 
-        Because each worker runs the stock incremental engine on a columnar
-        shard, it adopts the *batched* fixpoint automatically whenever the
-        active kernel advertises ``fused_repair_scan`` — the per-shard
+        Because each worker runs the stock incremental engine, it repairs
+        its shard over codes and adopts the array partition index whenever
+        the active kernel advertises ``fused_repair_scan`` — the per-shard
         re-evaluation, partition-delta and candidate-pricing hot loops all go
-        through the fused kernels with no parallel-specific wiring here.
+        through the kernels with no parallel-specific wiring here.
         """
         return RepairConfig(
             method="incremental",
             max_passes=self._config.max_passes,
             check_consistency=False,  # repair() already checked, once
             cost_model=cost_model,
-            cache_size=self._config.cache_size,
             storage=self._config.storage,
             kernel=self._config.kernel,
         )

@@ -158,8 +158,12 @@ class _IncrementalEngine:
     """Delta-maintained violation state (:class:`RepairState`)."""
 
     def __init__(self, relation: Relation, cfds: Sequence[CFD], config: RepairConfig) -> None:
-        self.relation = relation
-        self._state = RepairState(relation, cfds, cache_size=config.cache_size)
+        self._state = RepairState(relation, cfds)
+
+    @property
+    def relation(self) -> ColumnStore:
+        """The state's encoded store — the relation the repair mutates."""
+        return self._state.relation
 
     def report(self) -> ViolationReport:
         return self._state.report()
@@ -170,9 +174,9 @@ class _IncrementalEngine:
     def update_many(self, changes: Sequence[Tuple[int, str, Any]]) -> None:
         """Apply one violation's cell changes as a single delta batch.
 
-        On the batched repair path this is where the per-violation fan-out
-        collapses: the state re-evaluates each dirty (pattern, class) pair
-        once per *batch* instead of once per cell.
+        This is where the per-violation fan-out collapses: the state
+        re-evaluates each dirty (pattern, class) pair once per *batch*
+        instead of once per cell.
         """
         self._state.apply_changes(changes)
 
@@ -263,6 +267,10 @@ def repair(
             # the whole fixpoint; the greedy per-violation loop below never
             # runs.
             return runner(cost_model)
+        # An engine may repair its own encoding of ``work`` (the incremental
+        # state encodes row storage once), so read back the relation it
+        # actually mutates.
+        work = engine.relation
         result = RepairResult(relation=work)
         modification_counts: Dict[Tuple[int, str], int] = defaultdict(int)
         # Candidate pricing over dictionary codes, memoised across the whole
@@ -362,9 +370,9 @@ def _apply_planned(engine, pending: List[Tuple[int, str, Any]]) -> None:
     """Flush one violation's planned cell changes into the engine.
 
     Engines exposing ``update_many`` (the incremental state) ingest the
-    batch as a single delta — on the batched kernel path that means one
-    partition-index scatter and one ``evaluate_classes`` call per dirty
-    pattern for the whole violation.  Stateless engines apply cell by cell,
+    batch as a single delta — one re-placement per touched partition index
+    and one ``evaluate_classes`` call per dirty pattern for the whole
+    violation.  Stateless engines apply cell by cell,
     which is equivalent because a violation's planned cells are distinct.
     """
     if not pending:

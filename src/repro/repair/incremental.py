@@ -12,39 +12,51 @@ only affect
 * within such a pattern, the tuples of the changed tuple's *old* and *new*
   equivalence classes under the pattern's LHS partition.
 
-:class:`RepairState` exploits exactly that, through one of two execution
-modes picked at construction:
+:class:`RepairState` exploits exactly that, over dictionary codes.  The
+relation is encoded once into a :class:`~repro.relation.columnar.ColumnStore`
+(a row :class:`~repro.relation.relation.Relation` is copied into one, so the
+caller's object is never mutated) and indexed once, one partition index per
+distinct ``@``-free LHS.  The initial report is one ``evaluate_classes``
+kernel call per pattern over its matching classes, and
+:meth:`RepairState.apply_changes` resolves the *entire dirty class set* of a
+change batch with one such call per dirty pattern — gather the affected
+members, reduce, materialise only what reports.
 
-* the **reference path** (rows storage, or the python kernel) ingests the
-  relation once into the dict-backed
-  :class:`~repro.detection.partition_index.PartitionIndex` maps of PR 1 and
-  maintains them under :meth:`RepairState.apply_change` by moving the
-  changed tuple between equivalence classes
-  (:meth:`PartitionIndex.reindex_tuple`) and re-evaluating only the old and
-  new classes of the changed tuple;
-* the **batched path** (a :class:`~repro.relation.columnar.ColumnStore`
-  under a kernel advertising ``fused_repair_scan``) replaces the dict
-  indexes with the array-backed
-  :class:`~repro.detection.partition_index.CodePartitionIndex` and resolves
-  the *entire dirty class set* of a change batch with one
-  ``evaluate_classes`` kernel call per pattern
-  (:meth:`RepairState.apply_changes`) — gather the affected members into
-  one array, reduce, materialise only what reports.
+The kernel seam is the one definition of the ``Q^C``/``Q^V`` semantics: the
+python kernel is the reference and the scan oracle checks the results.  Only
+the partition index varies.  It is the array-backed
+:class:`~repro.detection.partition_index.CodePartitionIndex` when the active
+kernel advertises ``fused_repair_scan``, and the dict-backed
+:class:`~repro.detection.partition_index.PartitionIndex` otherwise (the
+python kernel, an install without numpy, or a composite key that would
+overflow ``int64``).  The two differ only in how a pattern's matching
+classes are enumerated, how one class's members are fetched and how changed
+tuples are re-placed.
 
-Both modes produce byte-identical reports: the python reference kernel
-defines the semantics, and evaluating every dirtied class once at the
-post-batch state yields exactly what change-by-change re-evaluation yields
-(a later change that could alter a class's verdict necessarily re-dirties
-that class).  Reports are emitted in the *canonical order* — the order the
-scan oracle produces — so the greedy repair heuristic makes identical
-decisions no matter which detection engine (or mode) feeds it.  See
-``docs/repair.md`` for the complexity analysis.
+Evaluating every dirtied class once at the post-batch state yields exactly
+what change-by-change re-evaluation yields (a later change that could alter
+a class's verdict necessarily re-dirties that class), so a batch and its
+entries applied one at a time leave identical states.  Reports are emitted
+in the *canonical order* — the order the scan oracle produces — so the
+greedy repair heuristic makes identical decisions no matter which detection
+engine feeds it.  See ``docs/repair.md`` for the complexity analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternValue
@@ -55,11 +67,11 @@ from repro.core.violations import (
     ViolationReport,
 )
 from repro.detection.indexed import constant_code_violations
-from repro.detection.partition_index import CodePartitionIndex, PartitionIndexCache
+from repro.detection.partition_index import CodePartitionIndex, PartitionIndex
 from repro.errors import DetectionError
 from repro.kernels import active_kernel
 from repro.relation.columnar import ColumnStore
-from repro.relation.relation import Relation
+from repro.relation.relation import Relation, Row
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +122,10 @@ class _PatternSpec:
     lhs_positions: Tuple[int, ...]
     #: LHS pattern cells aligned with ``lhs_free``.
     cells: Tuple[PatternValue, ...]
-    #: ``(attribute, schema position, expected constant)`` per constant RHS cell.
-    constant_rhs: Tuple[Tuple[str, int, Any], ...]
+    #: ``(attribute, expected constant)`` per constant RHS cell.
+    constant_rhs: Tuple[Tuple[str, Any], ...]
     #: non-``@`` RHS attributes in RHS order (the ``Q^V`` projection).
     rhs_free: Tuple[str, ...]
-    rhs_positions: Tuple[int, ...]
 
     def key_matches(self, key: Tuple[Any, ...]) -> bool:
         """Whether a partition key matches this pattern's LHS constants."""
@@ -127,12 +138,6 @@ def _build_specs(relation: Relation, cfds: Sequence[CFD]) -> List[_PatternSpec]:
     for cfd in cfds:
         for pattern_index, pattern in enumerate(cfd.tableau):
             lhs_free = tuple(attr for attr in cfd.lhs if not pattern.lhs_cell(attr).is_dontcare)
-            rhs_free = tuple(attr for attr in cfd.rhs if not pattern.rhs_cell(attr).is_dontcare)
-            constant_rhs = tuple(
-                (attr, schema.position(attr), pattern.rhs_cell(attr).value)
-                for attr in cfd.rhs
-                if pattern.rhs_cell(attr).is_constant
-            )
             specs.append(
                 _PatternSpec(
                     spec_id=len(specs),
@@ -141,12 +146,35 @@ def _build_specs(relation: Relation, cfds: Sequence[CFD]) -> List[_PatternSpec]:
                     lhs_free=lhs_free,
                     lhs_positions=schema.positions(lhs_free),
                     cells=tuple(pattern.lhs_cell(attr) for attr in lhs_free),
-                    constant_rhs=constant_rhs,
-                    rhs_free=rhs_free,
-                    rhs_positions=schema.positions(rhs_free) if rhs_free else (),
+                    constant_rhs=tuple(
+                        (attr, pattern.rhs_cell(attr).value)
+                        for attr in cfd.rhs
+                        if pattern.rhs_cell(attr).is_constant
+                    ),
+                    rhs_free=tuple(
+                        attr
+                        for attr in cfd.rhs
+                        if not pattern.rhs_cell(attr).is_dontcare
+                    ),
                 )
             )
     return specs
+
+
+#: A partition index of either kind.
+_Index = Union[CodePartitionIndex, PartitionIndex]
+#: A class key and its members, ascending.
+_Class = Tuple[Tuple[Any, ...], Sequence[int]]
+
+
+def _flatten(classes: Sequence[_Class]) -> Tuple[List[int], List[int]]:
+    """The kernels' flat ``(indices, offsets)`` form of the classes' members."""
+    indices: List[int] = []
+    offsets: List[int] = []
+    for _key, members in classes:
+        offsets.append(len(indices))
+        indices.extend(members)
+    return indices, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +183,17 @@ def _build_specs(relation: Relation, cfds: Sequence[CFD]) -> List[_PatternSpec]:
 class RepairState:
     """Violation state of ``relation`` against ``cfds``, maintained under cell changes.
 
-    The relation is ingested once (one partition index per distinct ``@``-free
-    LHS attribute tuple, shared across patterns and CFDs); the initial report
-    is computed from those indexes exactly as the ``method="indexed"``
-    detection backend would.  From then on :meth:`apply_change` /
-    :meth:`apply_changes` keep both the indexes and the per-partition
-    violation store correct in time proportional to the *touched* partitions,
-    not the relation (see the module docstring for the two execution modes).
+    The relation is encoded once — a :class:`ColumnStore` is adopted as is, a
+    row relation is copied into one — and indexed once, one partition index
+    per distinct ``@``-free LHS attribute tuple, shared across patterns and
+    CFDs.  The initial report is one ``evaluate_classes`` kernel call per
+    pattern; from then on :meth:`apply_changes` keeps both the indexes and
+    the per-partition violation store correct in time proportional to the
+    *touched* partitions, not the relation (see the module docstring).
 
-    The state owns ``relation`` operationally: every mutation must flow
+    The state owns :attr:`relation` operationally: every mutation must flow
     through :meth:`apply_change` or :meth:`apply_changes`, or the maintained
-    report goes stale.
+    report goes stale (the version guard turns the next read into an error).
 
     >>> from repro.datagen.cust import cust_relation, cust_cfds
     >>> state = RepairState(cust_relation(), cust_cfds())
@@ -175,30 +203,21 @@ class RepairState:
     [0, 1, 2, 3]
     """
 
-    def __init__(
-        self,
-        relation: Relation,
-        cfds: Sequence[CFD],
-        cache_size: Optional[int] = None,
-    ) -> None:
-        self._relation = relation
+    def __init__(self, relation: Relation, cfds: Sequence[CFD]) -> None:
+        store = (
+            relation
+            if isinstance(relation, ColumnStore)
+            else ColumnStore.from_relation(relation)
+        )
+        self._relation = store
         self._cfds = list(cfds)
-        self._specs = _build_specs(relation, self._cfds)
+        self._specs = _build_specs(store, self._cfds)
 
         # attribute -> specs whose LHS ∪ RHS mention it (the dirty-spec map).
         self._specs_by_attr: Dict[str, List[_PatternSpec]] = {}
         for spec in self._specs:
             for attr in dict.fromkeys(spec.lhs_free + spec.rhs_free):
                 self._specs_by_attr.setdefault(attr, []).append(spec)
-
-        distinct_lhs = {spec.lhs_free for spec in self._specs}
-        # cache_size (RepairConfig.cache_size) below the number of distinct
-        # LHS sets would evict live indexes and stale the store, so it only
-        # ever widens the auto-sized cache.
-        auto_size = max(32, len(distinct_lhs))
-        self._cache = PartitionIndexCache(
-            relation, maxsize=max(auto_size, cache_size or 0)
-        )
 
         # spec_id -> partition key -> violations of that pattern in that class.
         self._store: List[Dict[Tuple[Any, ...], List[Violation]]] = [
@@ -207,114 +226,26 @@ class RepairState:
         # spec_id -> (dictionary versions, encoded Q^C checks) — see
         # _const_checks.
         self._const_cache: Dict[int, Tuple[Tuple[int, ...], List[Tuple[str, Any, Optional[int], Any]]]] = {}
-
-        # The batched path needs both columnar codes and a kernel whose batch
-        # primitives actually win (fused_repair_scan); anything else — rows
-        # storage, the python reference kernel — takes the dict-indexed path.
-        self._batched = isinstance(relation, ColumnStore) and bool(
-            getattr(active_kernel(), "fused_repair_scan", False)
-        )
-        self._code_indexes: Dict[Tuple[str, ...], CodePartitionIndex] = {}
-        if self._batched:
-            try:
-                for lhs_free in distinct_lhs:
-                    self._code_indexes[lhs_free] = CodePartitionIndex(relation, lhs_free)
-            except DetectionError:
-                # Composite-key overflow (astronomically wide dictionaries):
-                # the array index cannot represent the partition, so run the
-                # dict-backed reference path instead.
-                self._batched = False
-                self._code_indexes.clear()
-
-        if self._batched:
-            self._build_initial_batched()
-        else:
-            # Pre-build every index: with maxsize >= the number of distinct
-            # LHS tuples nothing is ever evicted, so apply_update sees them
-            # all.
-            for lhs_free in distinct_lhs:
-                self._cache.get(lhs_free)
-            for spec in self._specs:
-                store = self._store[spec.spec_id]
-                index = self._cache.get(spec.lhs_free)
-                for key, indices in index.matching(spec.cells):
-                    violations = self._evaluate(spec, tuple(key), indices)
-                    if violations:
-                        store[tuple(key)] = violations
+        self._indexes = self._build_indexes({spec.lhs_free for spec in self._specs})
 
         self._changes_applied = 0
         self._patterns_reevaluated = 0
         self._partitions_reevaluated = 0
-        self._expected_version = relation.version
-
-    def _build_initial_batched(self) -> None:
-        """The initial report as one ``evaluate_classes`` call per pattern.
-
-        The per-LHS :class:`CodePartitionIndex` hands every class over in
-        flat array form (zero per-class materialisation); patterns with
-        constant LHS cells first narrow the class set with one vectorised
-        key comparison.  Only the classes the kernel flags materialise
-        members and decode their keys.
-        """
-        kernel = active_kernel()
-        store = self._relation
-        assert isinstance(store, ColumnStore)
+        self._expected_version = store.version
         for spec in self._specs:
-            spec_store = self._store[spec.spec_id]
-            index = self._code_indexes[spec.lhs_free]
-            checks = self._const_checks(spec)
-            const_pairs = [(column, code) for _attr, column, code, _expected in checks]
-            rhs_columns = store.project_codes(spec.rhs_free) if spec.rhs_free else ()
-            constants: List[Tuple[int, int]] = []
-            dead = False
-            for offset, cell in enumerate(spec.cells):
-                if cell.is_constant:
-                    code = store.encode(spec.lhs_free[offset], cell.value)
-                    if code is None:
-                        # No cell ever held the constant: nothing matches
-                        # this pattern, so it cannot be violated.
-                        dead = True
-                        break
-                    constants.append((offset, code))
-            if dead:
-                continue
-            if constants:
-                positions = index.matching_positions(constants)
-                indices, offsets = index.gather(positions)
-            else:
-                positions = None
-                indices, offsets = index.class_table()
-            for local, disagree, mismatches in kernel.evaluate_classes(
-                rhs_columns, indices, offsets, const_pairs
-            ):
-                class_position = int(positions[local]) if positions is not None else local
-                key = tuple(
-                    store.decode(attr, code)
-                    for attr, code in zip(spec.lhs_free, index.key_codes_at(class_position))
-                )
-                spec_store[key] = self._class_violations(
-                    spec,
-                    checks,
-                    key,
-                    index.members_at(class_position),
-                    disagree,
-                    mismatches,
-                )
+            batch = self._matching_classes(spec)
+            if batch is not None:
+                self._check_classes(spec, *batch)
 
     # ------------------------------------------------------------------ queries
     @property
-    def relation(self) -> Relation:
-        """The relation whose violation state is being maintained."""
+    def relation(self) -> ColumnStore:
+        """The encoded store whose violation state is being maintained."""
         return self._relation
 
     @property
     def cfds(self) -> Tuple[CFD, ...]:
         return tuple(self._cfds)
-
-    @property
-    def batched(self) -> bool:
-        """Whether this state runs the array-backed batched path."""
-        return self._batched
 
     def _check_synchronized(self) -> None:
         """Raise when the relation mutated outside :meth:`apply_change`.
@@ -353,77 +284,45 @@ class RepairState:
         return ViolationReport(canonical_order(violations, self._cfds))
 
     def stats(self) -> Dict[str, int]:
-        """Delta-maintenance counters (how little work apply_change did)."""
+        """Delta-maintenance counters (how little work apply_changes did)."""
         return {
             "changes_applied": self._changes_applied,
             "patterns_reevaluated": self._patterns_reevaluated,
             "partitions_reevaluated": self._partitions_reevaluated,
-            **{f"cache_{name}": value for name, value in self._cache.stats().items()},
         }
 
     # ------------------------------------------------------------------ the delta
     def apply_change(self, tuple_index: int, attribute: str, new_value: Any) -> bool:
         """Set one cell and repair the violation state by delta.
 
-        Returns ``False`` (and changes nothing) when the cell already holds
-        ``new_value``.  Otherwise the affected partition indexes move the
-        tuple between equivalence classes in place, and only the patterns
-        mentioning ``attribute`` are re-evaluated — over only the tuple's old
-        and new classes.
+        A one-entry :meth:`apply_changes`: returns ``False`` (and changes
+        nothing) when the cell already holds ``new_value``.
         """
-        if self._batched:
-            return self.apply_changes([(tuple_index, attribute, new_value)]) > 0
-        self._check_synchronized()
-        position = self._relation.schema.position(attribute)
-        old_row = self._relation[tuple_index]
-        if old_row[position] == new_value:
-            return False
-        self._relation.update(tuple_index, attribute, new_value)
-        new_row = self._relation[tuple_index]
-        self._cache.apply_update(tuple_index, attribute, old_row)
-        self._expected_version = self._relation.version
-        self._changes_applied += 1
-
-        for spec in self._specs_by_attr.get(attribute, ()):
-            self._patterns_reevaluated += 1
-            old_key = tuple(old_row[p] for p in spec.lhs_positions)
-            new_key = tuple(new_row[p] for p in spec.lhs_positions)
-            # When the change touched an RHS-only attribute the two keys
-            # coincide and a single class is re-checked.
-            self._reevaluate(spec, old_key)
-            if new_key != old_key:
-                self._reevaluate(spec, new_key)
-        return True
+        return self.apply_changes([(tuple_index, attribute, new_value)]) > 0
 
     def apply_changes(self, changes: Sequence[Tuple[int, str, Any]]) -> int:
         """Apply a batch of cell changes and repair the state in one delta.
 
         Semantically identical to calling :meth:`apply_change` per entry, in
         order (no-op entries included); returns how many entries actually
-        changed a cell.  On the batched path the whole batch costs three
-        bulk steps instead of per-change work: the cell updates themselves
-        (collecting each change's old/new partition keys as the dirty set),
-        **one scatter per touched partition index** re-placing the moved
-        tuples, and **one ``evaluate_classes`` kernel call per dirty
-        pattern** over all of its dirty classes at once.  Evaluating each
-        dirtied class once against the final state is exactly equivalent to
-        the sequential delta: any intermediate change that could alter a
-        class's verdict also dirties that class.
+        changed a cell.  The whole batch costs three bulk steps: the cell
+        updates themselves (collecting each change's old/new partition keys
+        as the dirty set), **one re-placement of the moved tuples per touched
+        partition index**, and **one ``evaluate_classes`` kernel call per
+        dirty pattern** over all of its dirty classes at once.  Evaluating
+        each dirtied class once against the final state is exactly
+        equivalent to the sequential delta: any intermediate change that
+        could alter a class's verdict also dirties that class.
         """
-        if not self._batched:
-            applied = 0
-            for tuple_index, attribute, new_value in changes:
-                if self.apply_change(tuple_index, attribute, new_value):
-                    applied += 1
-            return applied
         self._check_synchronized()
         relation = self._relation
         schema = relation.schema
         # Evolving row snapshots: each change's old/new keys are computed
-        # against the rows as they stand mid-batch, mirroring the sequential
-        # path (a tuple changed twice dirties its intermediate class too).
+        # against the rows as they stand mid-batch, so a tuple changed twice
+        # dirties its intermediate class too.
         rows_now: Dict[int, List[Any]] = {}
-        changed_attrs: Dict[int, Set[str]] = {}
+        # tuple index -> (pre-batch row, attributes changed in the batch).
+        changed: Dict[int, Tuple[Row, Set[str]]] = {}
         dirty: Dict[int, Dict[Tuple[Any, ...], None]] = {}
         applied = 0
         for tuple_index, attribute, new_value in changes:
@@ -437,7 +336,7 @@ class RepairState:
             relation.update(tuple_index, attribute, new_value)
             row[position] = new_value
             rows_now[tuple_index] = row
-            changed_attrs.setdefault(tuple_index, set()).add(attribute)
+            changed.setdefault(tuple_index, (old_row, set()))[1].add(attribute)
             applied += 1
             for spec in self._specs_by_attr.get(attribute, ()):
                 self._patterns_reevaluated += 1
@@ -448,95 +347,63 @@ class RepairState:
             return 0
         self._changes_applied += applied
         self._expected_version = relation.version
-        for lhs_free, index in self._code_indexes.items():
-            if not lhs_free:
-                continue
-            moved = [
-                tuple_index
-                for tuple_index, attrs in changed_attrs.items()
+        for lhs_free, index in self._indexes.items():
+            moved = {
+                tuple_index: old_row
+                for tuple_index, (old_row, attrs) in changed.items()
                 if attrs.intersection(lhs_free)
-            ]
+            }
             if moved:
-                index.apply_moves(moved)
+                self._replace(index, moved)
         for spec in self._specs:
             keys = dirty.get(spec.spec_id)
             if keys:
-                self._reevaluate_batched(spec, list(keys))
+                self._recheck(spec, keys)
         return applied
 
-    def _reevaluate_batched(self, spec: _PatternSpec, keys: List[Tuple[Any, ...]]) -> None:
+    def _recheck(self, spec: _PatternSpec, keys: Iterable[Tuple[Any, ...]]) -> None:
         """Recompute one pattern over its dirty classes — one kernel call."""
-        store = self._relation
-        assert isinstance(store, ColumnStore)
         spec_store = self._store[spec.spec_id]
-        index = self._code_indexes[spec.lhs_free]
-        live: List[Tuple[Tuple[Any, ...], int]] = []
+        classes: List[_Class] = []
         for key in keys:
             self._partitions_reevaluated += 1
-            if not spec.key_matches(key):
-                # The class fell outside the pattern's LHS constants (e.g.
-                # the changed tuple moved into a non-matching class): nothing
-                # of this pattern can be violated there.
-                spec_store.pop(key, None)
-                continue
-            position = index.find(
-                tuple(store.encode(attr, value) for attr, value in zip(spec.lhs_free, key))
-            )
-            if position < 0:
-                # The class emptied out (every member moved away).
-                spec_store.pop(key, None)
-                continue
-            live.append((key, position))
-        if not live:
-            return
+            spec_store.pop(key, None)
+            # A class outside the pattern's LHS constants (the changed tuple
+            # moved into a non-matching class) or one that emptied out holds
+            # nothing of this pattern.
+            if spec.key_matches(key):
+                members = self._class_members(spec, key)
+                if members:
+                    classes.append((key, members))
+        if classes:
+            self._check_classes(spec, *_flatten(classes), classes.__getitem__)
+
+    def _check_classes(
+        self,
+        spec: _PatternSpec,
+        indices: Sequence[int],
+        offsets: Sequence[int],
+        class_at: Callable[[int], _Class],
+    ) -> None:
+        """Store the violations of one pattern over a batch of its classes.
+
+        One ``evaluate_classes`` kernel call over the flat
+        ``(indices, offsets)`` batch; ``class_at`` maps a reported class's
+        batch position to its ``(key, members)``.  The classes must hold no
+        stored violations of the pattern yet.
+        """
+        store = self._relation
         checks = self._const_checks(spec)
         const_pairs = [(column, code) for _attr, column, code, _expected in checks]
         rhs_columns = store.project_codes(spec.rhs_free) if spec.rhs_free else ()
-        positions = [position for _key, position in live]
-        if len(positions) <= 8:
-            # The typical mid-fixpoint batch dirties one or two small classes;
-            # flattening them as python lists here skips the numpy gather
-            # round-trip the kernel's small-input fallback would undo anyway.
-            flat: List[int] = []
-            offs: List[int] = []
-            for position in positions:
-                offs.append(len(flat))
-                flat.extend(index.members_at(position))
-            indices, offsets = flat, offs
-        else:
-            indices, offsets = index.gather(positions)
-        findings = {
-            local: (disagree, mismatches)
-            for local, disagree, mismatches in active_kernel().evaluate_classes(
-                rhs_columns, indices, offsets, const_pairs
-            )
-        }
-        for local, (key, position) in enumerate(live):
-            finding = findings.get(local)
-            if finding is None:
-                spec_store.pop(key, None)
-                continue
-            disagree, mismatches = finding
+        spec_store = self._store[spec.spec_id]
+        for local, disagree, mismatches in active_kernel().evaluate_classes(
+            rhs_columns, indices, offsets, const_pairs
+        ):
+            key, members = class_at(local)
             spec_store[key] = self._class_violations(
-                spec, checks, key, index.members_at(position), disagree, mismatches
+                spec, checks, key, members, disagree, mismatches
             )
-
-    def _reevaluate(self, spec: _PatternSpec, key: Tuple[Any, ...]) -> None:
-        """Recompute one pattern's violations over one equivalence class."""
-        self._partitions_reevaluated += 1
-        store = self._store[spec.spec_id]
-        if not spec.key_matches(key):
-            # The class fell outside the pattern's LHS constants (e.g. the
-            # changed tuple moved into a non-matching class): nothing of this
-            # pattern can be violated there.
-            store.pop(key, None)
-            return
-        indices = self._cache.get(spec.lhs_free).get(key)
-        violations = self._evaluate(spec, key, indices)
-        if violations:
-            store[key] = violations
-        else:
-            store.pop(key, None)
 
     def _const_checks(self, spec: _PatternSpec) -> List[Tuple[str, Any, Optional[int], Any]]:
         """The pattern's encoded ``Q^C`` checks, cached per dictionary version.
@@ -546,21 +413,20 @@ class RepairState:
         absent at one evaluation can be interned by a later fix — so the
         encode is not stable across the whole run; but it *is* stable while
         the constant attributes' dictionary versions stand still, which is
-        virtually every evaluation.  Columnar storage only.
+        virtually every evaluation.
         """
         if not spec.constant_rhs:
             return []
         store = self._relation
-        assert isinstance(store, ColumnStore)
         versions = tuple(
-            store.dictionary_version(attr) for attr, _position, _expected in spec.constant_rhs
+            store.dictionary_version(attr) for attr, _expected in spec.constant_rhs
         )
         cached = self._const_cache.get(spec.spec_id)
         if cached is not None and cached[0] == versions:
             return cached[1]
         checks = [
             (attr, store.codes(attr), store.encode(attr, expected), expected)
-            for attr, _position, expected in spec.constant_rhs
+            for attr, expected in spec.constant_rhs
         ]
         self._const_cache[spec.spec_id] = (versions, checks)
         return checks
@@ -576,18 +442,20 @@ class RepairState:
     ) -> List[Violation]:
         """Materialise one reported class's violations from kernel output.
 
-        Emission matches the reference :meth:`_evaluate` exactly: ``Q^C``
-        violations tuple-major through the shared
-        :func:`~repro.detection.indexed.constant_code_violations` helper,
-        then the single ``Q^V`` violation over the full member list.
+        ``Q^C`` violations tuple-major through the shared
+        :func:`~repro.detection.indexed.constant_code_violations` helper
+        (which also serves indexed detection), then the single ``Q^V``
+        violation over the full member list — the scan oracle's emission.
         """
-        store = self._relation
-        assert isinstance(store, ColumnStore)
         violations: List[Violation] = []
         if checks:
             violations.extend(
                 constant_code_violations(
-                    store, spec.cfd.name, spec.pattern_index, checks, mismatches
+                    self._relation,
+                    spec.cfd.name,
+                    spec.pattern_index,
+                    checks,
+                    mismatches,
                 )
             )
         if disagree:
@@ -602,73 +470,85 @@ class RepairState:
             )
         return violations
 
-    def _evaluate(
-        self, spec: _PatternSpec, key: Tuple[Any, ...], indices: Sequence[int]
-    ) -> List[Violation]:
-        """One pattern's violations over one equivalence class (assumed matching).
+    # ------------------------------------------------------------------ the indexes
+    # The only code that depends on which index kind the state holds.
+    def _build_indexes(
+        self, lhs_sets: Iterable[Tuple[str, ...]]
+    ) -> Dict[Tuple[str, ...], _Index]:
+        """One partition index per distinct ``@``-free LHS.
 
-        On a :class:`~repro.relation.columnar.ColumnStore` both checks run
-        over dictionary codes, mirroring the indexed detection backend:
-        expected constants come pre-encoded from the version-keyed
-        :meth:`_const_checks` cache, RHS agreement is code-projection
-        cardinality through the active kernel, and values decode only into
-        emitted violations (via the shared
-        :func:`~repro.detection.indexed.constant_code_violations` emission
-        helper, which also serves indexed detection and the batched path).
+        The array index needs numpy, which a kernel advertising
+        ``fused_repair_scan`` guarantees.  It refuses a composite key that
+        cannot fit ``int64`` (astronomically wide dictionaries); the dict
+        index — the only one without numpy — serves every LHS then.
         """
-        relation = self._relation
-        violations: List[Violation] = []
-        store = relation if isinstance(relation, ColumnStore) else None
-        if spec.constant_rhs:
-            if store is not None:
-                kernel = active_kernel()
-                checks = self._const_checks(spec)
-                mismatches = [
-                    kernel.constant_mismatches(column, indices, expected_code)
-                    for _attr, column, expected_code, _expected in checks
-                ]
-                violations.extend(
-                    constant_code_violations(
-                        store, spec.cfd.name, spec.pattern_index, checks, mismatches
-                    )
-                )
-            else:
-                for tuple_index in indices:
-                    row = relation[tuple_index]
-                    for attr, position, expected in spec.constant_rhs:
-                        if row[position] != expected:
-                            violations.append(
-                                ConstantViolation(
-                                    cfd_name=spec.cfd.name,
-                                    pattern_index=spec.pattern_index,
-                                    tuple_indices=(tuple_index,),
-                                    attribute=attr,
-                                    expected=expected,
-                                    actual=row[position],
-                                )
-                            )
-        if spec.rhs_free and len(indices) > 1:
-            if store is not None:
-                disagree = active_kernel().codes_disagree(
-                    store.project_codes(spec.rhs_free), indices
-                )
-            else:
-                rhs_values = {
-                    tuple(relation[tuple_index][position] for position in spec.rhs_positions)
-                    for tuple_index in indices
-                }
-                disagree = len(rhs_values) > 1
-            if disagree:
-                violations.append(
-                    VariableViolation(
-                        cfd_name=spec.cfd.name,
-                        pattern_index=spec.pattern_index,
-                        tuple_indices=tuple(indices),
-                        attributes=spec.lhs_free,
-                        group_key=key,
-                    )
-                )
-        return violations
+        store = self._relation
+        if getattr(active_kernel(), "fused_repair_scan", False):
+            try:
+                return {lhs: CodePartitionIndex(store, lhs) for lhs in lhs_sets}
+            except DetectionError:
+                pass
+        return {lhs: PartitionIndex.from_relation(store, lhs) for lhs in lhs_sets}
+
+    def _matching_classes(
+        self, spec: _PatternSpec
+    ) -> Optional[Tuple[Sequence[int], Sequence[int], Callable[[int], _Class]]]:
+        """Every class matching ``spec``'s LHS constants, as a kernel batch.
+
+        Returns ``(indices, offsets, class_at)`` for :meth:`_check_classes`,
+        or ``None`` when an LHS constant occurs nowhere (nothing matches).
+        The array index hands its classes over without materialising members
+        — patterns with constant cells narrow them first with one vectorised
+        key comparison — and only the classes the kernel flags decode their
+        keys and members.
+        """
+        index = self._indexes[spec.lhs_free]
+        if isinstance(index, PartitionIndex):
+            classes: List[_Class] = list(index.matching(spec.cells))
+            return (*_flatten(classes), classes.__getitem__)
+        store = self._relation
+        constants: List[Tuple[int, int]] = []
+        for offset, cell in enumerate(spec.cells):
+            if cell.is_constant:
+                code = store.encode(spec.lhs_free[offset], cell.value)
+                if code is None:
+                    return None
+                constants.append((offset, code))
+        if constants:
+            positions = index.matching_positions(constants)
+            indices, offsets = index.gather(positions)
+        else:
+            positions = range(index.class_count)
+            indices, offsets = index.class_table()
+
+        def class_at(local: int) -> _Class:
+            position = int(positions[local])
+            key = tuple(
+                store.decode(attr, code)
+                for attr, code in zip(spec.lhs_free, index.key_codes_at(position))
+            )
+            return key, index.members_at(position)
+
+        return indices, offsets, class_at
+
+    def _class_members(self, spec: _PatternSpec, key: Tuple[Any, ...]) -> Sequence[int]:
+        """The members of ``spec``'s class ``key``, ascending (empty when none)."""
+        index = self._indexes[spec.lhs_free]
+        if isinstance(index, PartitionIndex):
+            return index.get(key)
+        store = self._relation
+        position = index.find(
+            tuple(store.encode(attr, value) for attr, value in zip(spec.lhs_free, key))
+        )
+        return index.members_at(position) if position >= 0 else ()
+
+    def _replace(self, index: _Index, moved: Dict[int, Row]) -> None:
+        """Re-place changed tuples, given each one's pre-batch row, in ``index``."""
+        if isinstance(index, PartitionIndex):
+            for tuple_index, old_row in moved.items():
+                index.reindex_tuple(tuple_index, old_row, self._relation[tuple_index])
+        else:
+            index.apply_moves(moved)
 
     def __repr__(self) -> str:
         return (

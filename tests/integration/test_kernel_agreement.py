@@ -189,30 +189,16 @@ def test_streaming_detection_agrees_across_kernels(relation, cfd_list):
 
 @requires_numpy
 def test_batched_repair_path_is_active():
-    """Guard: numpy + columnar really takes the batched fixpoint.
+    """Guard: a deterministic repair through the vectorised batch primitives
+    matches the python reference exactly.
 
-    The hypothesis grid above would still pass if the batched path silently
-    fell back to the dict-indexed reference mode (they are byte-identical by
-    contract) — so pin the mode bit itself, then assert a deterministic
-    repair through the batched primitives matches the reference exactly.
+    Which partition index each kernel gets (array under numpy, dict under
+    python or on int64 overflow) is pinned in
+    ``tests/repair/test_batched_state.py``.
     """
     from repro.datagen.cust import cust_cfds, cust_relation
-    from repro.kernels import use_kernel
-    from repro.relation.columnar import ColumnStore
-    from repro.repair.incremental import RepairState
 
     rows = cust_relation()
-    store = ColumnStore.from_relation(rows)
-    with force_vectorised(), use_kernel("numpy"):
-        batched = RepairState(store.copy(), cust_cfds())
-        assert batched.batched
-    with use_kernel("python"):
-        reference = RepairState(store.copy(), cust_cfds())
-        assert not reference.batched  # no fused_repair_scan on the reference
-    with use_kernel("numpy"):
-        assert not RepairState(rows, cust_cfds()).batched  # rows storage
-    assert list(batched.report().violations) == list(reference.report().violations)
-
     results = {}
     for kernel in ("python", "numpy"):
         with force_vectorised():
@@ -227,10 +213,10 @@ def test_auto_kernel_repair_degrades_gracefully():
     """``kernel="auto"`` repairs identically with or without numpy installed.
 
     Not numpy-gated on purpose: in the no-numpy environment ``auto`` resolves
-    to the python reference (and the batched fixpoint stays off), and the
-    result must still be byte-identical to an explicit ``kernel="python"``
+    to the python reference (and the repair state indexes with dicts), and
+    the result must still be byte-identical to an explicit ``kernel="python"``
     run.  With numpy present the same assertion pins auto == python through
-    the batched path.
+    the array index.
     """
     from repro.datagen.cust import cust_cfds, cust_relation
 

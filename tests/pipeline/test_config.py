@@ -75,9 +75,10 @@ class TestRepairConfig:
         with pytest.raises(ConfigError):
             RepairConfig(max_passes=0)
 
-    def test_cache_size_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            RepairConfig(cache_size=0)
+    def test_cache_size_is_deprecated_and_ignored(self):
+        with pytest.warns(DeprecationWarning, match="cache_size"):
+            config = RepairConfig(cache_size=64)
+        assert config.cache_size is None
 
     def test_cost_model_carried(self):
         model = CostModel(tuple_weights={0: 2.0})

@@ -1,10 +1,10 @@
-"""Unit tests for the delta-maintained repair state and the index update hooks."""
+"""Unit tests for the delta-maintained repair state and the dict index update hook."""
 
 import pytest
 
 from repro.core.cfd import CFD
 from repro.core.satisfaction import find_all_violations
-from repro.detection.partition_index import PartitionIndex, PartitionIndexCache
+from repro.detection.partition_index import PartitionIndex
 from repro.errors import DetectionError
 from repro.relation.relation import Relation
 from repro.relation.schema import Schema
@@ -55,34 +55,6 @@ class TestReindexTuple:
 
 
 # ---------------------------------------------------------------------------
-# PartitionIndexCache.apply_update
-# ---------------------------------------------------------------------------
-class TestCacheApplyUpdate:
-    def test_only_indexes_mentioning_the_attribute_are_touched(self):
-        rel = _ab_relation([("a", "x"), ("a", "y")])
-        cache = PartitionIndexCache(rel)
-        index_a = cache.get(("A",))
-        index_b = cache.get(("B",))
-        old_row = rel[0]
-        rel.update(0, "A", "c")
-        assert cache.apply_update(0, "A", old_row) == 1
-        assert index_a.get(("c",)) == (0,)
-        # The B index partitions by an untouched attribute: same groups.
-        assert index_b.get(("x",)) == (0,)
-        assert index_b.get(("y",)) == (1,)
-
-    def test_updated_index_serves_hits_not_rebuilds(self):
-        rel = _ab_relation([("a", "x"), ("a", "y")])
-        cache = PartitionIndexCache(rel)
-        index = cache.get(("A",))
-        old_row = rel[0]
-        rel.update(0, "A", "b")
-        cache.apply_update(0, "A", old_row)
-        assert cache.get(("A",)) is index  # the same object, maintained in place
-        assert cache.stats()["misses"] == 1
-
-
-# ---------------------------------------------------------------------------
 # RepairState
 # ---------------------------------------------------------------------------
 class TestRepairStateInitial:
@@ -108,7 +80,7 @@ class TestApplyChange:
         assert not state.is_clean()
         assert state.apply_change(1, "B", "x")
         assert state.is_clean()
-        assert rel.value(1, "B") == "x"
+        assert state.relation.value(1, "B") == "x"
 
     def test_lhs_change_moves_tuple_between_classes(self):
         # Tuples 0,1 conflict in class ('a',); moving tuple 1 into class
@@ -177,7 +149,7 @@ class TestApplyChange:
         ]
         for tuple_index, attribute, value in changes:
             state.apply_change(tuple_index, attribute, value)
-            oracle = find_all_violations(cust, cust_constraints)
+            oracle = find_all_violations(state.relation, cust_constraints)
             assert list(state.report()) == canonical_order(oracle, cust_constraints)
 
     def test_mutating_outside_apply_change_raises_on_the_next_read(self):
@@ -187,18 +159,18 @@ class TestApplyChange:
         rel = _ab_relation([("a", "x"), ("a", "y")])
         cfd = CFD.build(["A"], ["B"], [["_", "_"]])
         state = RepairState(rel, [cfd])
-        rel.update(1, "B", "x")  # bypasses the state
+        state.relation.update(1, "B", "x")  # bypasses the state
         with pytest.raises(DetectionError):
             state.is_clean()
         with pytest.raises(DetectionError):
             state.report()
-        assert not find_all_violations(rel, [cfd])
+        assert not find_all_violations(state.relation, [cfd])
 
     def test_delete_invalidates_the_state(self):
         rel = _ab_relation([("a", "x"), ("a", "y"), ("b", "z")])
         cfd = CFD.build(["A"], ["B"], [["_", "_"]])
         state = RepairState(rel, [cfd])
-        rel.delete(0)  # shifts every later tuple index
+        state.relation.delete(0)  # shifts every later tuple index
         with pytest.raises(DetectionError):
             state.report()
         with pytest.raises(DetectionError):

@@ -117,6 +117,6 @@ def test_repair_state_tracks_oracle_under_random_changes(relation, cfd_list, edi
         if tuple_index >= len(relation):
             continue
         state.apply_change(tuple_index, attribute, value)
-        oracle = find_all_violations(relation, cfd_list)
+        oracle = find_all_violations(state.relation, cfd_list)
         assert set(state.report().violations) == set(oracle.violations)
         assert state.is_clean() == oracle.is_clean()
